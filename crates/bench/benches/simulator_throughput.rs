@@ -41,6 +41,35 @@ fn bench_hierarchy_accesses(c: &mut Criterion) {
             black_box(offchip)
         })
     });
+    // The paper-scale shape: a 32-core machine whose shared L2 (megabytes of
+    // simulated tags) is far larger than a host cache, under a footprint of
+    // twice the L2, so about half the L1 misses hit in the L2 and the rest
+    // evict.  The hierarchy is built and warmed once, outside the timed loop,
+    // so the figure is the steady-state cost of an access, not of zeroing a
+    // fresh hierarchy.
+    let cfg32 = default_config(32).expect("default configuration");
+    let span = 2 * cfg32.l2.capacity_bytes as u64;
+    let mut rng = StdRng::seed_from_u64(5);
+    let l2_bound: Vec<(usize, u64, bool)> = (0..200_000)
+        .map(|_| {
+            (
+                rng.gen_range(0..32usize),
+                rng.gen_range(0..span),
+                rng.gen_bool(0.3),
+            )
+        })
+        .collect();
+    let mut hier = CmpCacheHierarchy::new(&cfg32);
+    let mut replay = move || {
+        let mut offchip = 0u64;
+        for &(core, addr, write) in &l2_bound {
+            offchip += hier.access(core, addr, write).offchip_bytes;
+        }
+        offchip
+    };
+    replay();
+    group.throughput(Throughput::Elements(200_000));
+    group.bench_function("l2_bound_32core_200k", |b| b.iter(|| black_box(replay())));
     group.finish();
 }
 

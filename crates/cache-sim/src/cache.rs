@@ -1,7 +1,7 @@
 //! One set-associative, write-back / write-allocate cache level.
 
 use crate::addr::BlockAddr;
-use crate::replacement::{next_random, oldest_way, set_rng_seed, ReplacementPolicy};
+use crate::replacement::{next_random, set_rng_seed, ReplacementPolicy};
 use crate::stats::CacheStats;
 use pdfws_cmp_model::CacheGeometry;
 
@@ -32,19 +32,18 @@ pub struct CacheAccessResult {
     pub evicted: Option<EvictedBlock>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    block: BlockAddr,
-    dirty: bool,
-    valid: bool,
-}
+/// Dirty bit of a stored way word; the block address sits in the bits above it.
+const DIRTY: u64 = 1;
 
-impl Line {
-    const INVALID: Line = Line {
-        block: 0,
-        dirty: false,
-        valid: false,
-    };
+/// The way word of a clean `block`.  Panics, in release builds too, if `block`
+/// needs the top bit, which the dirty bit's shift would drop (aliasing it).
+#[inline]
+fn clean_word(block: BlockAddr) -> u64 {
+    assert!(
+        block >> 63 == 0,
+        "block address {block:#x} does not fit the cache's 63-bit tag"
+    );
+    block << 1
 }
 
 /// A set-associative cache with write-back, write-allocate semantics.
@@ -52,30 +51,32 @@ impl Line {
 /// The cache stores block addresses only (no data): the simulator cares about
 /// hits, misses, evictions and write-backs, not values.
 ///
-/// Storage is flat: all lines live in one set-major array (`sets × ways`), with
-/// a parallel stamp array for the replacement order and one RNG word per set
-/// for the Random policy.  An access therefore touches exactly one contiguous
-/// `associativity`-sized window — no per-set heap structures on the hot path.
+/// Storage is flat and set-major: one `u64` word per way (block and dirty
+/// bit), each set's valid words packed at the front in replacement order
+/// (recency under LRU, fill order under FIFO) with a per-set length.  Fills
+/// insert at the front, so a full set's victim is its last entry (`Random`
+/// draws a position).  Every array starts zeroed, so building a cache writes
+/// none of its lines.  `P` is a per-entry payload that moves with its block
+/// (the shared L2's sharer masks; `()`, which takes no space, elsewhere).
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub struct Cache<P: Copy + Default = ()> {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
-    /// All lines, set-major: set `s` owns `lines[s*assoc .. (s+1)*assoc]`.
-    lines: Box<[Line]>,
-    /// Replacement stamps parallel to `lines` (recency for LRU, fill time for
-    /// FIFO; unused for Random).
-    stamps: Box<[u64]>,
-    /// Per-set xorshift state for the Random policy.
+    /// Way words, set-major: set `s` owns `words[s*assoc .. (s+1)*assoc]`, of
+    /// which the first `lens[s]` are valid, in replacement order.
+    words: Box<[u64]>,
+    /// Payloads parallel to `words`.
+    payloads: Box<[P]>,
+    /// Valid entries per set.
+    lens: Box<[u32]>,
+    /// Per-set xorshift state for the Random policy (empty otherwise).
     rng: Box<[u64]>,
-    /// Cache-global monotone stamp counter (ordering is only compared within a
-    /// set, so one clock serves every set).
-    clock: u64,
     stats: CacheStats,
     set_mask: u64,
     assoc: usize,
 }
 
-impl Cache {
+impl<P: Copy + Default> Cache<P> {
     /// Build a cache with the given geometry and replacement policy.
     ///
     /// # Panics
@@ -88,13 +89,18 @@ impl Cache {
             .expect("cache geometry must be valid (validated by pdfws-cmp-model)");
         let num_sets = geometry.sets();
         let assoc = geometry.associativity;
+        let rng = if policy == ReplacementPolicy::Random {
+            (0..num_sets).map(set_rng_seed).collect()
+        } else {
+            Box::default()
+        };
         Cache {
             geometry,
             policy,
-            lines: vec![Line::INVALID; num_sets * assoc].into_boxed_slice(),
-            stamps: vec![0; num_sets * assoc].into_boxed_slice(),
-            rng: (0..num_sets).map(set_rng_seed).collect(),
-            clock: 0,
+            words: vec![0; num_sets * assoc].into_boxed_slice(),
+            payloads: vec![P::default(); num_sets * assoc].into_boxed_slice(),
+            lens: vec![0; num_sets].into_boxed_slice(),
+            rng,
             stats: CacheStats::default(),
             set_mask: (num_sets - 1) as u64,
             assoc,
@@ -121,156 +127,174 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// First line index of the set `block` maps to.
+    /// Set index of `block`.
     #[inline]
-    fn set_base(&self, block: BlockAddr) -> usize {
-        (block & self.set_mask) as usize * self.assoc
+    fn set_of(&self, block: BlockAddr) -> usize {
+        (block & self.set_mask) as usize
     }
 
     /// Access `block`; on a miss the block is filled (write-allocate), possibly
     /// evicting another block from the same set.
+    #[inline]
     pub fn access(&mut self, block: BlockAddr, kind: AccessKind) -> CacheAccessResult {
-        let base = self.set_base(block);
-        let set = &mut self.lines[base..base + self.assoc];
+        self.access_entry(block, kind).0
+    }
 
-        // One scan finds both the hit way and the first free way.
-        let mut free_way = usize::MAX;
-        let mut hit_way = usize::MAX;
-        for (way, line) in set.iter().enumerate() {
-            if !line.valid {
-                if free_way == usize::MAX {
-                    free_way = way;
-                }
-            } else if line.block == block {
-                hit_way = way;
-                break;
-            }
-        }
+    /// [`Cache::access`], also returning the slot that now holds `block` and
+    /// the payload of the evicted entry (default if nothing was evicted).  A
+    /// filled entry starts with the default payload.
+    pub(crate) fn access_entry(
+        &mut self,
+        block: BlockAddr,
+        kind: AccessKind,
+    ) -> (CacheAccessResult, usize, P) {
+        let word = clean_word(block);
+        let write = kind == AccessKind::Write;
+        let set = self.set_of(block);
+        let base = set * self.assoc;
+        let len = self.lens[set] as usize;
+        let words = &mut self.words[base..base + self.assoc];
+        let payloads = &mut self.payloads[base..base + self.assoc];
 
-        self.clock += 1;
-
-        if hit_way != usize::MAX {
-            if kind == AccessKind::Write {
-                set[hit_way].dirty = true;
+        if let Some(mut pos) = words[..len].iter().position(|&w| w ^ word <= DIRTY) {
+            if write {
+                words[pos] |= DIRTY;
                 self.stats.write_hits += 1;
             } else {
                 self.stats.read_hits += 1;
             }
             if self.policy == ReplacementPolicy::Lru {
-                self.stamps[base + hit_way] = self.clock;
+                words[..=pos].rotate_right(1);
+                payloads[..=pos].rotate_right(1);
+                pos = 0;
             }
-            return CacheAccessResult {
+            let hit = CacheAccessResult {
                 hit: true,
                 evicted: None,
             };
+            return (hit, base + pos, P::default());
         }
 
-        // Miss: count it, then fill — a free way if one exists, else the
-        // policy's victim.
-        if kind == AccessKind::Write {
+        // Miss: count it, then fill at the front — shifting the set down one
+        // place if it has room, else dropping the policy's victim.
+        if write {
             self.stats.write_misses += 1;
         } else {
             self.stats.read_misses += 1;
         }
 
-        let (way, evicted) = if free_way != usize::MAX {
-            (free_way, None)
+        let (shifted, evicted) = if len < self.assoc {
+            self.lens[set] += 1;
+            (len, None)
         } else {
-            let way = match self.policy {
-                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                    oldest_way(&self.stamps[base..base + self.assoc])
-                }
+            let pos = match self.policy {
+                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self.assoc - 1,
                 ReplacementPolicy::Random => {
-                    let set_idx = base / self.assoc;
-                    (next_random(&mut self.rng[set_idx]) % self.assoc as u64) as usize
+                    (next_random(&mut self.rng[set]) % self.assoc as u64) as usize
                 }
             };
-            let old = set[way];
+            let dirty = words[pos] & DIRTY != 0;
             self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.writebacks += 1;
-            }
-            (
-                way,
-                Some(EvictedBlock {
-                    block: old.block,
-                    dirty: old.dirty,
-                }),
-            )
+            self.stats.writebacks += dirty as u64;
+            let block = words[pos] >> 1;
+            (pos, Some(EvictedBlock { block, dirty }))
         };
+        let evicted_payload = evicted.map_or_else(P::default, |_| payloads[shifted]);
+        words[..=shifted].rotate_right(1);
+        payloads[..=shifted].rotate_right(1);
+        words[0] = word | if write { DIRTY } else { 0 };
+        payloads[0] = P::default();
 
-        set[way] = Line {
-            block,
-            dirty: kind == AccessKind::Write,
-            valid: true,
-        };
-        if self.policy != ReplacementPolicy::Random {
-            self.stamps[base + way] = self.clock;
-        }
-
-        CacheAccessResult {
+        let miss = CacheAccessResult {
             hit: false,
             evicted,
-        }
+        };
+        (miss, base, evicted_payload)
+    }
+
+    /// Slot holding `block`, if it is resident.
+    #[inline]
+    pub(crate) fn find(&self, block: BlockAddr) -> Option<usize> {
+        let word = clean_word(block);
+        let set = self.set_of(block);
+        let base = set * self.assoc;
+        let len = self.lens[set] as usize;
+        self.words[base..base + len]
+            .iter()
+            .position(|&w| w ^ word <= DIRTY)
+            .map(|pos| base + pos)
+    }
+
+    /// Mark the entry in `slot` dirty.
+    #[inline]
+    pub(crate) fn mark_dirty(&mut self, slot: usize) {
+        self.words[slot] |= DIRTY;
+    }
+
+    /// The payload of the entry in `slot`.
+    #[inline]
+    pub(crate) fn payload_mut(&mut self, slot: usize) -> &mut P {
+        &mut self.payloads[slot]
     }
 
     /// Check whether `block` is present without disturbing replacement state or
     /// statistics.
     pub fn probe(&self, block: BlockAddr) -> bool {
-        let base = self.set_base(block);
-        self.lines[base..base + self.assoc]
-            .iter()
-            .any(|l| l.valid && l.block == block)
+        self.find(block).is_some()
     }
 
     /// Mark `block` dirty if it is resident, without touching statistics or
     /// replacement order.  Used to sink write-backs from an upper level into this
     /// one.  Returns whether the block was present.
     pub fn set_dirty(&mut self, block: BlockAddr) -> bool {
-        let base = self.set_base(block);
-        for line in &mut self.lines[base..base + self.assoc] {
-            if line.valid && line.block == block {
-                line.dirty = true;
-                return true;
-            }
-        }
-        false
+        self.find(block).map(|slot| self.mark_dirty(slot)).is_some()
     }
 
     /// Invalidate `block` if present.  Returns `Some(dirty)` if a line was
-    /// invalidated, `None` if the block was not cached.
+    /// invalidated, `None` if the block was not cached.  The entries behind it
+    /// move up one place, keeping their order.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let base = self.set_base(block);
-        for line in &mut self.lines[base..base + self.assoc] {
-            if line.valid && line.block == block {
-                let dirty = line.dirty;
-                *line = Line::INVALID;
-                self.stats.invalidations += 1;
-                return Some(dirty);
-            }
-        }
-        None
+        let slot = self.find(block)?;
+        let dirty = self.words[slot] & DIRTY != 0;
+        let set = self.set_of(block);
+        let end = set * self.assoc + self.lens[set] as usize;
+        self.words[slot..end].rotate_left(1);
+        self.payloads[slot..end].rotate_left(1);
+        self.lens[set] -= 1;
+        self.stats.invalidations += 1;
+        Some(dirty)
     }
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lens.iter().map(|&len| len as usize).sum()
+    }
+
+    /// Every resident entry as `(block, payload)`, set by set in replacement
+    /// order (most recent first under LRU).
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (BlockAddr, P)> + '_ {
+        self.lens.iter().enumerate().flat_map(move |(set, &len)| {
+            let base = set * self.assoc;
+            let valid = base..base + len as usize;
+            self.words[valid.clone()]
+                .iter()
+                .zip(&self.payloads[valid])
+                .map(|(&w, &p)| (w >> 1, p))
+        })
     }
 
     /// Iterate over all resident block addresses (used by tests and the working-set
     /// profiler; order is unspecified).
     pub fn resident_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.lines.iter().filter(|l| l.valid).map(|l| l.block)
+        self.entries().map(|(block, _)| block)
     }
 
     /// Drop every line (contents and replacement state), keeping statistics.
     pub fn flush(&mut self) {
-        self.lines.fill(Line::INVALID);
-        self.stamps.fill(0);
+        self.lens.fill(0);
         for (set_idx, state) in self.rng.iter_mut().enumerate() {
             *state = set_rng_seed(set_idx);
         }
-        self.clock = 0;
     }
 }
 

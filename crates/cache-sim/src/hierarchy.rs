@@ -8,43 +8,17 @@
 //! the other cores' L1s).  Each access reports where it was satisfied, how long it
 //! took and how many bytes it moved across the off-chip interface, which is what
 //! the execution engine needs to model bandwidth saturation.
+//!
+//! Sharers are tracked in the L2 itself: inclusion guarantees that every block
+//! resident in some L1 has an L2 entry, so each L2 entry carries the bitmask
+//! of the L1s holding its block as its payload (see [`Cache`]), and the mask
+//! moves and dies with the entry.
 
 use crate::addr::{Addr, BlockAddr};
 use crate::cache::{AccessKind, Cache};
 use crate::replacement::ReplacementPolicy;
 use crate::stats::HierarchyStats;
 use pdfws_cmp_model::CmpConfig;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiply-and-fold hasher for block addresses.
-///
-/// The sharer directory is probed on the access hot path; the standard
-/// `HashMap` hasher (SipHash) costs more than the cache lookup it guards.
-/// Block addresses are near-sequential integers, so one Fibonacci multiply
-/// with a xor-fold mixes them plenty.
-#[derive(Debug, Default, Clone)]
-struct BlockAddrHasher(u64);
-
-impl Hasher for BlockAddrHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("the directory only hashes u64 block addresses");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-type DirectoryMap = HashMap<BlockAddr, u64, BuildHasherDefault<BlockAddrHasher>>;
-
 /// Where in the hierarchy an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
@@ -90,7 +64,9 @@ impl AccessOutcome {
 #[derive(Debug, Clone)]
 pub struct CmpCacheHierarchy {
     l1s: Vec<Cache>,
-    l2: Cache,
+    /// The shared L2; each entry's payload is the bitmask of the cores whose
+    /// L1 holds its block.
+    l2: Cache<u64>,
     line_bytes: u64,
     /// `log2(line_bytes)`, precomputed so `access` turns a byte address into a
     /// block number with one shift instead of re-deriving the shift per access.
@@ -98,11 +74,6 @@ pub struct CmpCacheHierarchy {
     l1_latency: u64,
     l2_latency: u64,
     memory_latency: u64,
-    /// For every block resident in at least one L1: bitmask of the cores holding it.
-    ///
-    /// Sized at construction for the worst case (every L1 line holding a
-    /// distinct block), so the hot path never grows the table.
-    directory: DirectoryMap,
     offchip_bytes: u64,
     memory_fills: u64,
     coherence_invalidations: u64,
@@ -120,12 +91,11 @@ impl CmpCacheHierarchy {
     pub fn with_policy(config: &CmpConfig, policy: ReplacementPolicy) -> Self {
         assert!(
             config.cores <= 64,
-            "the sharer directory uses a 64-bit core mask"
+            "the L2's sharer masks are 64-bit core masks"
         );
         let l1s: Vec<Cache> = (0..config.cores)
             .map(|_| Cache::new(config.l1, policy))
             .collect();
-        let directory_capacity = config.cores * config.l1.lines();
         CmpCacheHierarchy {
             l1s,
             l2: Cache::new(config.l2, policy),
@@ -134,10 +104,6 @@ impl CmpCacheHierarchy {
             l1_latency: config.l1.latency_cycles,
             l2_latency: config.l2.latency_cycles,
             memory_latency: config.memory_latency_cycles,
-            directory: DirectoryMap::with_capacity_and_hasher(
-                directory_capacity,
-                BuildHasherDefault::default(),
-            ),
             offchip_bytes: 0,
             memory_fills: 0,
             coherence_invalidations: 0,
@@ -183,37 +149,38 @@ impl CmpCacheHierarchy {
         }
 
         // The L1 filled the block and may have evicted a victim; keep the
-        // directory and the L2 dirty bits consistent.
+        // victim's sharer mask and the L2 dirty bits consistent.
         if let Some(victim) = l1_result.evicted {
-            self.remove_sharer(victim.block, core);
+            let slot = self
+                .l2
+                .find(victim.block)
+                .expect("inclusion: an L1-resident block has an L2 entry");
+            *self.l2.payload_mut(slot) &= !(1 << core);
             if victim.dirty {
-                // Inclusion means the victim is normally still in the L2; if it
-                // raced with an L2 eviction the write-back goes straight off chip.
-                if !self.l2.set_dirty(victim.block) {
-                    self.offchip_bytes += self.line_bytes;
-                }
+                self.l2.mark_dirty(slot);
             }
         }
 
-        // Mark this core as a sharer of the newly filled block and resolve write
-        // invalidations against the other cores.
-        self.add_sharer(block, core);
+        // Resolve write invalidations against the other cores before the fill.
         if write {
             self.invalidate_other_sharers(block, core);
         }
 
         // Look up the shared L2.  Fills are reads from the L2's perspective; dirty
         // data only reaches the L2 through L1 write-backs.
-        let l2_result = self.l2.access(block, AccessKind::Read);
+        let (l2_result, slot, victim_sharers) = self.l2.access_entry(block, AccessKind::Read);
 
         let mut offchip = 0u64;
         if let Some(victim) = l2_result.evicted {
             // Inclusion: every L1 copy of the victim must go.
-            let victim_dirty_in_l1 = self.back_invalidate(victim.block);
+            let victim_dirty_in_l1 = self.back_invalidate(victim.block, victim_sharers);
             if victim.dirty || victim_dirty_in_l1 {
                 offchip += self.line_bytes;
             }
         }
+
+        // This core's L1 now holds the block.
+        *self.l2.payload_mut(slot) |= 1 << core;
 
         if l2_result.hit {
             self.offchip_bytes += offchip;
@@ -234,50 +201,36 @@ impl CmpCacheHierarchy {
         }
     }
 
-    fn add_sharer(&mut self, block: BlockAddr, core: usize) {
-        *self.directory.entry(block).or_insert(0) |= 1 << core;
-    }
-
-    fn remove_sharer(&mut self, block: BlockAddr, core: usize) {
-        if let Some(mask) = self.directory.get_mut(&block) {
-            *mask &= !(1 << core);
-            if *mask == 0 {
-                self.directory.remove(&block);
-            }
-        }
-    }
-
     /// Invalidate every other core's L1 copy of `block` (write-invalidate
-    /// coherence).  Dirty remote copies are folded into the L2.
+    /// coherence), leaving the writer as the only possible sharer.  Dirty
+    /// remote copies are folded into the L2.
     fn invalidate_other_sharers(&mut self, block: BlockAddr, writer: usize) {
-        let Some(&mask) = self.directory.get(&block) else {
+        let Some(slot) = self.l2.find(block) else {
             return;
         };
-        let mut others = mask & !(1 << writer);
+        let sharers = self.l2.payload_mut(slot);
+        let mut others = *sharers & !(1 << writer);
         if others == 0 {
             return;
         }
+        *sharers &= 1 << writer;
         while others != 0 {
             let core = others.trailing_zeros() as usize;
             others &= others - 1;
             if let Some(dirty) = self.l1s[core].invalidate(block) {
                 self.coherence_invalidations += 1;
                 if dirty {
-                    self.l2.set_dirty(block);
+                    self.l2.mark_dirty(slot);
                 }
             }
         }
-        self.directory.insert(block, 1 << writer);
     }
 
-    /// Remove `block` from every L1 (inclusion back-invalidation).  Returns whether
-    /// any evicted L1 copy was dirty.
-    fn back_invalidate(&mut self, block: BlockAddr) -> bool {
-        let Some(mask) = self.directory.remove(&block) else {
-            return false;
-        };
+    /// Remove `block` from every L1 in `sharers` (inclusion back-invalidation
+    /// of an evicted L2 entry).  Returns whether any evicted L1 copy was dirty.
+    fn back_invalidate(&mut self, block: BlockAddr, sharers: u64) -> bool {
         let mut any_dirty = false;
-        let mut remaining = mask;
+        let mut remaining = sharers;
         while remaining != 0 {
             let core = remaining.trailing_zeros() as usize;
             remaining &= remaining - 1;
@@ -319,14 +272,13 @@ impl CmpCacheHierarchy {
         self.coherence_invalidations = 0;
     }
 
-    /// Flush every cache (contents and directory), keeping statistics.  Used to
+    /// Flush every cache (contents and sharer masks), keeping statistics.  Used to
     /// model a context switch that destroys cache state.
     pub fn flush(&mut self) {
         for c in &mut self.l1s {
             c.flush();
         }
         self.l2.flush();
-        self.directory.clear();
     }
 
     /// Number of distinct blocks currently resident in the shared L2.
@@ -335,7 +287,7 @@ impl CmpCacheHierarchy {
     }
 
     /// Direct read-only access to the shared L2 (tests, working-set analysis).
-    pub fn l2(&self) -> &Cache {
+    pub fn l2(&self) -> &Cache<u64> {
         &self.l2
     }
 
@@ -357,6 +309,7 @@ impl CmpCacheHierarchy {
 mod tests {
     use super::*;
     use pdfws_cmp_model::{config::config_for, default_config, AreaModel, ProcessNode};
+    use std::collections::HashMap;
 
     fn small_config(cores: usize) -> CmpConfig {
         let mut cfg = config_for(cores, ProcessNode::Nm32, &AreaModel::default()).unwrap();
@@ -447,19 +400,54 @@ mod tests {
         assert!(after > fills, "write-backs must add to off-chip traffic");
     }
 
+    /// Inclusion, plus exact sharer masks: every L2 entry's mask is the set
+    /// of cores whose L1 holds its block.
+    fn assert_sharers_exact(h: &CmpCacheHierarchy, ctx: &str) {
+        assert!(h.check_inclusion(), "{ctx}: inclusion invariant violated");
+        let mut holders: HashMap<BlockAddr, u64> = HashMap::new();
+        for (core, l1) in h.l1s.iter().enumerate() {
+            for block in l1.resident_blocks() {
+                *holders.entry(block).or_default() |= 1 << core;
+            }
+        }
+        for (block, sharers) in h.l2.entries() {
+            let expected = holders.get(&block).copied().unwrap_or(0);
+            assert_eq!(sharers, expected, "{ctx}: sharer mask of block {block}");
+        }
+    }
+
     #[test]
     fn inclusion_holds_under_random_traffic() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let cfg = small_config(4);
-        let mut h = CmpCacheHierarchy::new(&cfg);
-        let mut rng = StdRng::seed_from_u64(42);
-        for _ in 0..20_000 {
-            let core = rng.gen_range(0..4);
-            let addr = rng.gen_range(0..512u64) * 64;
-            let write = rng.gen_bool(0.3);
-            h.access(core, addr, write);
+        // Reads and writes from several cores on an L2 only a few times the
+        // L1s' total size: each core has a hot private region its L1 keeps
+        // (L1 hits do not refresh the L2's recency, so these blocks age out of
+        // the L2 and get back-invalidated), a shared region draws write
+        // invalidations, and a stream over twice the L2 forces evictions.  The
+        // invariants are checked after every access.
+        for (cores, seed) in [(4, 42), (8, 43)] {
+            let mut cfg = small_config(cores);
+            cfg.l1.capacity_bytes = 2 * 1024;
+            cfg.l2.capacity_bytes = 32 * 1024;
+            let mut h = CmpCacheHierarchy::new(&cfg);
+            let span = 2 * cfg.l2.lines() as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            for step in 0..5_000 {
+                let core = rng.gen_range(0..cores);
+                let block = match rng.gen_range(0..10u32) {
+                    0..=5 => span + 16 * core as u64 + rng.gen_range(0..16u64),
+                    6 | 7 => span + 1024 + rng.gen_range(0..16u64),
+                    _ => rng.gen_range(0..span),
+                };
+                let write = rng.gen_bool(0.3);
+                h.access(core, block * 64, write);
+                assert_sharers_exact(&h, &format!("{cores} cores, step {step}"));
+            }
+            // L1 invalidations beyond the coherence ones are back-invalidations.
+            let s = h.stats();
+            assert!(s.coherence_invalidations > 0 && s.l2.evictions > 0);
+            assert!(s.l1_total().invalidations > s.coherence_invalidations);
         }
-        assert!(h.check_inclusion(), "inclusion invariant violated");
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //!
 //! * [`cache::Cache`] — one set-associative cache level with pluggable replacement
 //!   ([`replacement::ReplacementPolicy`]), write-back/write-allocate behaviour and
-//!   full hit/miss/eviction statistics.
+//!   full hit/miss/eviction statistics.  Each way is one `u64` word (block and
+//!   dirty bit) and each set keeps its entries in replacement order, so the
+//!   policies need no stamps and a fresh cache is all zeroes.
 //! * [`hierarchy::CmpCacheHierarchy`] — per-core private L1s in front of one shared,
-//!   inclusive L2 with a directory of L1 sharers, MSI-style invalidations and
-//!   back-invalidation on L2 eviction.
+//!   inclusive L2 whose entries carry their block's L1 sharer mask, MSI-style
+//!   invalidations and back-invalidation on L2 eviction.
 //! * [`power::estimate_energy`] / [`power::EnergyModel`] — the leakage/dynamic
 //!   energy model behind the paper's "PDF's smaller working sets provide
 //!   opportunities to power down segments of the cache" finding (the powered

@@ -3,10 +3,11 @@
 //! The study's caches use LRU; FIFO and a seeded pseudo-random policy are provided
 //! for sensitivity experiments and to exercise the policy abstraction in tests.
 //!
-//! The policy state itself lives inside [`Cache`](crate::cache::Cache) as flat
-//! per-line stamp and per-set RNG arrays (one contiguous allocation each, so the
-//! access hot path touches no nested structures); this module holds the policy
-//! enum and the pure decision helpers that operate on those arrays.
+//! The policy state itself lives inside [`Cache`](crate::cache::Cache): each
+//! set keeps its entries in replacement order (recency for LRU, fill order for
+//! FIFO), so LRU and FIFO need no state beyond that order, and Random keeps one
+//! xorshift word per set.  This module holds the policy enum and the RNG
+//! helpers.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +20,9 @@ pub enum ReplacementPolicy {
     Lru,
     /// Evict the way that was filled earliest.
     Fifo,
-    /// Evict a pseudo-random way (deterministic: xorshift seeded per set).
+    /// Evict a pseudo-random entry (deterministic: xorshift seeded per set).
+    /// A draw indexes a position in the set's fill order, not a physical way;
+    /// no golden result pins the victims.
     Random,
 }
 
@@ -41,36 +44,9 @@ pub(crate) fn next_random(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// The way with the smallest stamp — the LRU way when stamps are recency
-/// timestamps, the FIFO head when they are fill timestamps.  Callers only ask
-/// for a victim once every way has been filled, and the stamp clock is a
-/// monotone counter, so the stamps are distinct.
-#[inline]
-pub(crate) fn oldest_way(stamps: &[u64]) -> usize {
-    debug_assert!(!stamps.is_empty(), "sets have at least one way");
-    let mut way = 0;
-    let mut best = stamps[0];
-    for (w, &stamp) in stamps.iter().enumerate().skip(1) {
-        if stamp < best {
-            best = stamp;
-            way = w;
-        }
-    }
-    way
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn oldest_way_picks_the_smallest_stamp() {
-        assert_eq!(oldest_way(&[5, 3, 9, 4]), 1);
-        assert_eq!(oldest_way(&[1]), 0);
-        // First way wins a (theoretical) tie, matching the previous
-        // `min_by_key` behavior.
-        assert_eq!(oldest_way(&[2, 2, 2]), 0);
-    }
 
     #[test]
     fn random_is_deterministic_per_seed_and_differs_across_sets() {

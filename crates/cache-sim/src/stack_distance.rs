@@ -17,9 +17,9 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Multiply-and-fold hasher for block addresses (same rationale as the
-/// hierarchy's sharer directory: SipHash costs more than the work it guards,
-/// and near-sequential block numbers mix fine with one Fibonacci multiply).
+/// Multiply-and-fold hasher for block addresses: SipHash costs more than the
+/// work it guards, and near-sequential block numbers mix fine with one
+/// Fibonacci multiply.
 #[derive(Debug, Default, Clone)]
 struct BlockHasher(u64);
 

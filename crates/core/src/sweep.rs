@@ -211,6 +211,8 @@ impl SweepGrid {
 /// One simulation the planner scheduled: a shared DAG, a resolved config, and
 /// the spec to run (baselines use [`SchedulerSpec::sequential_baseline`]).
 struct PlannedCell {
+    /// Index into the grid's workload axis.
+    workload: usize,
     dag: Arc<TaskDag>,
     config: CmpConfig,
     spec: SchedulerSpec,
@@ -229,30 +231,10 @@ struct Plan {
 }
 
 impl Plan {
-    /// Longest-processing-time-first execution order over the plan's cells.
-    ///
-    /// A cell's cost is estimated as its DAG's total instruction count
-    /// divided by its core count, so the serial baselines and
-    /// biggest-workload cells enter the pool first and short cells backfill
-    /// the tail — the classic LPT bound on makespan.  Ties keep cell-index
-    /// order (stable sort), and results are always written back by cell
-    /// index, so the order is invisible in the report.
+    /// Longest-processing-time-first execution order over the plan's cells
+    /// (see [`lpt_order`]).
     fn lpt_order(&self) -> Vec<usize> {
-        let costs: Vec<u64> = self
-            .cells
-            .iter()
-            .map(|cell| {
-                let work: u64 = cell
-                    .dag
-                    .task_ids()
-                    .map(|t| cell.dag.node(t).total_instructions())
-                    .sum();
-                work / cell.config.cores.max(1) as u64
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..self.cells.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
-        order
+        lpt_order(self.cells.iter().map(|c| (&*c.dag, c.config.cores)))
     }
 
     /// Resolve every config and schedule the cells: deduped baselines first,
@@ -293,6 +275,7 @@ impl Plan {
                 None => {
                     let cell = cells.len();
                     cells.push(PlannedCell {
+                        workload: w_idx,
                         dag: w.dag.clone(),
                         config: baseline_config,
                         spec: SchedulerSpec::sequential_baseline(),
@@ -304,11 +287,12 @@ impl Plan {
         }
 
         let mut run_start = Vec::with_capacity(grid.workloads.len());
-        for w in &grid.workloads {
+        for (w_idx, w) in grid.workloads.iter().enumerate() {
             run_start.push(cells.len());
             for config in &configs {
                 for spec in &grid.specs {
                     cells.push(PlannedCell {
+                        workload: w_idx,
                         dag: w.dag.clone(),
                         config: *config,
                         spec: spec.clone(),
@@ -322,6 +306,106 @@ impl Plan {
             run_start,
             configs,
         })
+    }
+}
+
+/// Longest-processing-time-first execution order over `(dag, cores)` cells.
+///
+/// A cell's cost is estimated as its DAG's total instruction count divided by
+/// its core count, so the serial baselines and biggest-workload cells enter
+/// the pool first and short cells backfill the tail — the classic LPT bound
+/// on makespan.  Ties keep cell-index order (stable sort), and results are
+/// always written back by cell index, so the order is invisible in the
+/// report.
+fn lpt_order<'a>(cells: impl Iterator<Item = (&'a TaskDag, usize)>) -> Vec<usize> {
+    let costs: Vec<u64> = cells
+        .map(|(dag, cores)| {
+            let work: u64 = dag
+                .task_ids()
+                .map(|t| dag.node(t).total_instructions())
+                .sum();
+            work / cores.max(1) as u64
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
+    order
+}
+
+/// One simulation: a workload on a resolved machine configuration under one
+/// scheduler spec and one set of engine options.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The workload (its DAG is shared, not copied).
+    pub workload: WorkloadInstance,
+    /// The machine configuration, used as is.
+    pub config: CmpConfig,
+    /// The scheduler.
+    pub spec: SchedulerSpec,
+    /// Engine options, cache mode included.
+    pub options: SimOptions,
+}
+
+/// What determines a cell's [`SimResult`]: equal workload specs build equal
+/// DAGs, so the canonical spec string stands in for the DAG.
+#[derive(Debug, Clone, PartialEq)]
+struct CellKey {
+    workload: String,
+    config: CmpConfig,
+    spec: SchedulerSpec,
+    options: SimOptions,
+}
+
+impl CellKey {
+    fn of(cell: &Cell) -> Self {
+        CellKey {
+            workload: cell.workload.spec.canonical(),
+            config: cell.config,
+            spec: cell.spec.clone(),
+            options: cell.options.clone(),
+        }
+    }
+}
+
+/// Results of simulated cells, kept across sweeps so that a sequence of
+/// them — the replication suite's claims, say — simulates each distinct cell
+/// once, however many grids it appears in.
+///
+/// A cell is identified by its workload's canonical spec, its resolved
+/// configuration, its scheduler spec and its engine options (cache mode
+/// included).  Results are deterministic, so a cached result is
+/// bit-identical to a fresh one.
+#[derive(Debug, Default)]
+pub struct CellCache {
+    /// Few enough (tens of cells per suite) that a linear scan beats hashing
+    /// a configuration full of floats.
+    entries: Vec<(CellKey, SimResult)>,
+    hits: usize,
+}
+
+impl CellCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Distinct cells simulated through this cache.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing has been simulated yet.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Cell requests served without simulating.
+    pub fn hits(&self) -> usize {
+        self.hits
+    }
+
+    fn get(&self, key: &CellKey) -> Option<&SimResult> {
+        self.entries.iter().find(|(k, _)| k == key).map(|(_, r)| r)
     }
 }
 
@@ -370,15 +454,68 @@ impl SweepRunner {
     ///
     /// All configuration errors are raised before any simulation starts.
     pub fn run(&self, grid: &SweepGrid) -> Result<SweepReport, ExperimentError> {
+        self.run_cached(grid, &mut CellCache::new())
+    }
+
+    /// [`SweepRunner::run`] through a [`CellCache`]: cells already in `cache`
+    /// are not simulated again, the rest are simulated and added.  The report
+    /// is bit-identical to [`SweepRunner::run`].
+    pub fn run_cached(
+        &self,
+        grid: &SweepGrid,
+        cache: &mut CellCache,
+    ) -> Result<SweepReport, ExperimentError> {
         let plan = Plan::build(grid)?;
-        let order = plan.lpt_order();
-        let options = &grid.options;
-        let permuted = self.run_cells(order.len(), |pos| {
-            let cell = &plan.cells[order[pos]];
-            simulate_shared(cell.dag.clone(), &cell.config, &cell.spec, options)
-        });
-        let results = unpermute(&order, permuted);
+        let cells: Vec<Cell> = plan
+            .cells
+            .iter()
+            .map(|c| Cell {
+                workload: grid.workloads[c.workload].clone(),
+                config: c.config,
+                spec: c.spec.clone(),
+                options: grid.options.clone(),
+            })
+            .collect();
+        let results = self.run_cells_cached(&cells, cache);
         Ok(assemble_reports(grid, &plan, &results))
+    }
+
+    /// Simulate `cells` through `cache` and return their results in `cells`
+    /// order.  Each distinct cell missing from the cache is simulated once
+    /// (on this runner's workers, longest first) and added to it.
+    pub fn run_cells_cached(&self, cells: &[Cell], cache: &mut CellCache) -> Vec<SimResult> {
+        let keys: Vec<CellKey> = cells.iter().map(CellKey::of).collect();
+        // `source[i]`: the first cell with `keys[i]`, which is the one that
+        // is looked up or simulated.
+        let source: Vec<usize> = (0..keys.len())
+            .map(|i| keys.iter().position(|k| *k == keys[i]).expect("own key"))
+            .collect();
+        let missing: Vec<usize> = (0..cells.len())
+            .filter(|&i| source[i] == i && cache.get(&keys[i]).is_none())
+            .collect();
+        cache.hits += cells.len() - missing.len();
+        let order = lpt_order(
+            missing
+                .iter()
+                .map(|&i| (&*cells[i].workload.dag, cells[i].config.cores)),
+        );
+        let fresh = self.run_cells(order.len(), |pos| {
+            let cell = &cells[missing[order[pos]]];
+            simulate_shared(
+                cell.workload.dag.clone(),
+                &cell.config,
+                &cell.spec,
+                &cell.options,
+            )
+        });
+        for (pos, result) in fresh.into_iter().enumerate() {
+            let i = missing[order[pos]];
+            cache.entries.push((keys[i].clone(), result));
+        }
+        source
+            .iter()
+            .map(|&i| cache.get(&keys[i]).expect("simulated or cached").clone())
+            .collect()
     }
 
     /// [`SweepRunner::run`] plus a wall-clock [`SweepProfile`] of the

@@ -357,32 +357,14 @@ fn claim_c6_power_down() -> Claim {
             let fractions = [1.0, 0.25];
             let base = default_config(cores)?;
             let configs = sweep_l2_fraction(&base, &fractions)?;
-            let instance: WorkloadInstance = workload.parse()?;
-            let mut cycles: Vec<Vec<f64>> = Vec::new(); // per fraction, per spec
-            for config in &configs {
-                let mut experiment = Experiment::new(instance.clone())
-                    .cores(cores)
-                    .with_config(*config)
-                    .schedulers(&paper_pair())
-                    .cache(ctx.cfg.cache.clone())
-                    .threads(ctx.cfg.threads);
-                if let Some(spec) = &ctx.cfg.memsys {
-                    experiment = experiment.memsys(spec.clone());
-                }
-                let report = experiment.run()?;
-                cycles.push(
-                    paper_pair()
-                        .iter()
-                        .map(|spec| {
-                            report
-                                .find(cores, spec)
-                                .expect("cell simulated")
-                                .metrics
-                                .cycles as f64
-                        })
-                        .collect(),
-                );
-            }
+            // The fully-powered row is Figure 1's 8-core cells: the run's
+            // cell cache serves them without simulating again.
+            let results = ctx.cells(workload, &configs, &PAPER_SCHEDULERS)?;
+            // Per fraction, per spec (configs outer, specs inner).
+            let cycles: Vec<Vec<f64>> = results
+                .chunks(PAPER_SCHEDULERS.len())
+                .map(|row| row.iter().map(|r| r.cycles as f64).collect())
+                .collect();
             let slowdown = |spec_idx: usize| cycles[1][spec_idx] / cycles[0][spec_idx];
             let mut table = Table::new(
                 "Cache power-down: run time relative to the fully-powered L2 (8 cores)",

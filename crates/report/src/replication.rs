@@ -21,13 +21,11 @@ use crate::artifact::ArtifactSet;
 use crate::figure::{json_string, slug, Figure};
 use pdfws_cmp_model::default_config;
 use pdfws_core::prelude::*;
-use pdfws_core::sweep::{SweepGrid, SweepRunner};
+use pdfws_core::sweep::{Cell, CellCache, SweepGrid, SweepRunner};
 use pdfws_schedulers::{simulate_traced, SimOptions};
 use pdfws_trace::timeline_table;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 
 /// How a suite run is scaled and executed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,39 +211,34 @@ pub struct Evaluation {
 }
 
 /// The evaluation context handed to each claim: the suite configuration plus
-/// a per-run sweep cache, so claims that read different metrics off the same
-/// grid (Figure 1's two panels, say) simulate it once.
+/// a per-run cache of simulated cells, so claims that read different metrics
+/// off the same cells (Figure 1's two panels, say) or whose grids overlap (the
+/// granularity and power-down claims reuse Figure 1's cells) simulate each
+/// distinct cell once.
 pub struct EvalCtx {
     /// The run's configuration.
     pub cfg: SuiteConfig,
-    cache: RefCell<HashMap<String, Rc<Vec<ExperimentReport>>>>,
+    cells: RefCell<CellCache>,
 }
 
 impl EvalCtx {
     fn new(cfg: SuiteConfig) -> Self {
         EvalCtx {
             cfg,
-            cache: RefCell::new(HashMap::new()),
+            cells: RefCell::new(CellCache::new()),
         }
     }
 
-    /// Run (or fetch from this run's cache) the (workloads × cores ×
-    /// schedulers) grid given by exact spec strings, returning one report per
-    /// workload.  Cells execute on `cfg.threads` workers; equal axes hit the
-    /// cache, so several claims can share one simulation.
+    /// Run the (workloads × cores × schedulers) grid given by exact spec
+    /// strings on the default configuration per core count, returning one
+    /// report per workload.  Cells execute on `cfg.threads` workers; cells
+    /// this run already simulated are taken from its cache.
     pub fn sweep(
         &self,
         workloads: &[&str],
         cores: &[usize],
         schedulers: &[&str],
-    ) -> Result<Rc<Vec<ExperimentReport>>, ExperimentError> {
-        let key = format!(
-            "w={workloads:?};c={cores:?};s={schedulers:?};m={:?};k={}",
-            self.cfg.memsys, self.cfg.cache
-        );
-        if let Some(hit) = self.cache.borrow().get(&key) {
-            return Ok(hit.clone());
-        }
+    ) -> Result<Vec<ExperimentReport>, ExperimentError> {
         let mut grid = SweepGrid::new()
             .cores(cores)
             .specs(&parse_schedulers(schedulers))
@@ -253,16 +246,51 @@ impl EvalCtx {
         if let Some(spec) = &self.cfg.memsys {
             grid = grid.memsys(spec.clone());
         }
+        // DAGs are rebuilt per call, not kept: Figure 1's, the one several
+        // claims share, builds in about a millisecond, while keeping every
+        // paper-scale DAG alive for the whole run raised peak memory by half.
         for w in workloads {
             grid = grid.workload_str(w)?;
         }
-        let reports = Rc::new(
-            SweepRunner::new(self.cfg.threads)
-                .run(&grid)?
-                .into_reports(),
-        );
-        self.cache.borrow_mut().insert(key, reports.clone());
-        Ok(reports)
+        Ok(SweepRunner::new(self.cfg.threads)
+            .run_cached(&grid, &mut self.cells.borrow_mut())?
+            .into_reports())
+    }
+
+    /// Simulate `workload` on each explicit configuration (its core count
+    /// included) under each scheduler, with no sequential baseline: one
+    /// result per (config, scheduler), configs outer.  The run's memory
+    /// system and cache mode apply as in [`EvalCtx::sweep`], and cells this
+    /// run already simulated are taken from its cache.
+    pub fn cells(
+        &self,
+        workload: &str,
+        configs: &[CmpConfig],
+        schedulers: &[&str],
+    ) -> Result<Vec<SimResult>, ExperimentError> {
+        let instance: WorkloadInstance = workload.parse()?;
+        let options = SimOptions {
+            cache_mode: self.cfg.cache.clone(),
+            ..SimOptions::default()
+        };
+        let mut cells = Vec::with_capacity(configs.len() * schedulers.len());
+        for config in configs {
+            let mut config = *config;
+            if let Some(spec) = &self.cfg.memsys {
+                config.memsys = spec.memsys_params();
+            }
+            config.validate()?;
+            for spec in parse_schedulers(schedulers) {
+                cells.push(Cell {
+                    workload: instance.clone(),
+                    config,
+                    spec,
+                    options: options.clone(),
+                });
+            }
+        }
+        Ok(SweepRunner::new(self.cfg.threads)
+            .run_cells_cached(&cells, &mut self.cells.borrow_mut()))
     }
 }
 
@@ -838,6 +866,28 @@ mod tests {
         assert!(set.get("claims/ok-claim/syn-fig.md").is_some());
         assert!(set.get("claims/ok-claim/syn-fig.jsonl").is_some());
         assert_eq!(set.get("claims/bad-claim/notes.txt"), Some("hello\n"));
+    }
+
+    #[test]
+    fn paper_suite_simulates_each_distinct_cell_once() {
+        // Quick scale and analytic pricing keep this cheap; the cell
+        // structure is the same at paper scale and in exact mode.
+        let suite = ReplicationSuite::paper();
+        let cfg = SuiteConfig::new(true).cache("analytic".parse().unwrap());
+        let ctx = EvalCtx::new(cfg);
+        for claim in &suite.claims {
+            (claim.eval)(&ctx).unwrap();
+        }
+        let cells = ctx.cells.borrow();
+        // Distinct cells: C1's Figure 1 grid (6 core counts × 2 schedulers;
+        // its sequential baseline is the one-core `pdf` cell), C3's SpMV
+        // (baseline + 2), C4's two class-B workloads (2 × 3), C5's coarse
+        // variant (baseline + 1) and C6's 25 %-powered row (2).
+        assert_eq!(cells.len(), 12 + 3 + 6 + 2 + 2);
+        // Served without simulating: C1's baseline, all 13 cells of C2 (C1's
+        // grid), C5's fine-grained baseline and 32-core cell, and C6's
+        // fully-powered row (C1's 8-core cells).
+        assert_eq!(cells.hits(), 1 + 13 + 2 + 2);
     }
 
     #[test]

@@ -15,6 +15,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A completion flag that supports both spinning probes (for helping waiters) and
 /// blocking waits (for external callers).
+///
+/// The latch usually lives in a [`StackJob`] on the waiter's stack, and the
+/// waiter pops that frame as soon as it sees the latch set.  So the setter
+/// stores the flag while holding the mutex, and a waiter reports the latch set
+/// only after it has held the mutex itself: by then the setter's unlock, its
+/// last access to the latch, has happened.
 #[derive(Debug, Default)]
 pub struct Latch {
     set: AtomicBool,
@@ -30,26 +36,29 @@ impl Latch {
 
     /// Mark the latch as set and wake any blocked waiters.
     pub fn set(&self) {
+        let _guard = self.mutex.lock();
         // Release pairs with the Acquire in `probe`/`wait`, so everything the
         // setting thread wrote (in particular the job's result) is visible to the
         // waiter that observes `set == true`.
         self.set.store(true, Ordering::Release);
-        let _guard = self.mutex.lock();
         self.cond.notify_all();
     }
 
-    /// Non-blocking check.
+    /// Non-blocking check (it may wait out a setter that is still unlocking).
     pub fn probe(&self) -> bool {
-        self.set.load(Ordering::Acquire)
+        if !self.set.load(Ordering::Acquire) {
+            return false;
+        }
+        // The setter stored the flag under the lock; taking the lock once
+        // waits until the setter has released it.
+        drop(self.mutex.lock());
+        true
     }
 
     /// Block the calling thread until the latch is set.
     pub fn wait(&self) {
-        if self.probe() {
-            return;
-        }
         let mut guard = self.mutex.lock();
-        while !self.probe() {
+        while !self.set.load(Ordering::Acquire) {
             self.cond.wait(&mut guard);
         }
     }

@@ -87,3 +87,19 @@ fn single_threaded_pools_match_multi_threaded_results() {
         parallel_map_reduce(&four, &data, 128, &f)
     );
 }
+
+// A join's second half runs on a thief while the owner spins on its latch;
+// the owner pops the frame holding that latch as soon as it sees it set.
+// Thousands of empty-leaf joins on two workers make that hand-off as tight
+// as it gets, so a setter that still touched the latch after publishing it
+// would corrupt a live stack frame here.
+#[test]
+fn latch_handoff_survives_many_tight_nested_joins() {
+    let ws = WsPool::new(2).unwrap();
+    let pdf = PdfPool::new(2).unwrap();
+    // Depth 13: 8191 joins per tree.
+    for _ in 0..3 {
+        assert_eq!(spawn_tree(&ws, 13), (1 << 14) - 1);
+        assert_eq!(spawn_tree(&pdf, 13), (1 << 14) - 1);
+    }
+}
