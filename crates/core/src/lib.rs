@@ -43,8 +43,8 @@ pub use spec::Instantiate as IntoSpec;
 pub use spec::{Instantiate, WorkloadInstance};
 pub use stream_experiment::{StreamExperiment, StreamReport};
 pub use sweep::{
-    parse_threads, threads_from_env, Cell, CellCache, SweepGrid, SweepProfile, SweepReport,
-    SweepRunner, THREADS_ENV,
+    parse_threads, threads_from_env, Cell, SweepGrid, SweepProfile, SweepReport, SweepRunner,
+    THREADS_ENV,
 };
 
 /// The types almost every experiment needs.

@@ -27,9 +27,10 @@
 //! constructed) and shared by `Arc` across every cell and worker thread —
 //! a 6-cores × 5-specs sweep simulates 30 cells plus one baseline from one
 //! DAG build, where the pre-sweep code rebuilt or cloned the DAG per cell.
-//! The sequential baseline is likewise deduplicated per (workload DAG,
-//! baseline config): grids that list the same shared DAG several times run
-//! its baseline once.
+//! Cells that are the same simulation (same DAG `Arc`, config, scheduler spec
+//! and options) run once: a grid's sequential baseline is its one-core `pdf`
+//! cell, and grids that list the same shared DAG several times simulate it
+//! once.
 //!
 //! ```
 //! use pdfws_core::prelude::*;
@@ -208,37 +209,16 @@ impl SweepGrid {
     }
 }
 
-/// One simulation the planner scheduled: a shared DAG, a resolved config, and
-/// the spec to run (baselines use [`SchedulerSpec::sequential_baseline`]).
-struct PlannedCell {
-    /// Index into the grid's workload axis.
-    workload: usize,
-    dag: Arc<TaskDag>,
-    config: CmpConfig,
-    spec: SchedulerSpec,
-}
-
-/// Everything needed to turn cell results back into per-workload reports.
+/// The cells of a grid in report order: per workload its sequential
+/// baseline, then its (cores × specs) block, cores outer.
 struct Plan {
-    cells: Vec<PlannedCell>,
-    /// Per workload: index into `cells` of its (deduplicated) baseline.
-    baseline_of: Vec<usize>,
-    /// Per workload: first run-cell index; run cells for one workload are
-    /// contiguous, cores outer × specs inner.
-    run_start: Vec<usize>,
+    cells: Vec<Cell>,
     /// Resolved config per entry of the cores axis (shared by every workload).
     configs: Vec<CmpConfig>,
 }
 
 impl Plan {
-    /// Longest-processing-time-first execution order over the plan's cells
-    /// (see [`lpt_order`]).
-    fn lpt_order(&self) -> Vec<usize> {
-        lpt_order(self.cells.iter().map(|c| (&*c.dag, c.config.cores)))
-    }
-
-    /// Resolve every config and schedule the cells: deduped baselines first,
-    /// then each workload's (cores × specs) block.  All configuration errors
+    /// Resolve every config and lay out the cells.  All configuration errors
     /// surface here, before anything is simulated.
     fn build(grid: &SweepGrid) -> Result<Plan, ExperimentError> {
         if grid.workloads.is_empty() {
@@ -261,52 +241,97 @@ impl Plan {
             .map(|&c| grid.config_for(c))
             .collect::<Result<_, _>>()?;
 
-        let mut cells: Vec<PlannedCell> = Vec::new();
-        let mut baseline_of = Vec::with_capacity(grid.workloads.len());
-        // Dedup baselines per workload DAG (the baseline config is
-        // grid-constant): (workload idx, cell idx) of the first occurrence.
-        let mut seen: Vec<(usize, usize)> = Vec::new();
-        for (w_idx, w) in grid.workloads.iter().enumerate() {
-            let dup = seen
-                .iter()
-                .find(|&&(earlier, _)| Arc::ptr_eq(&grid.workloads[earlier].dag, &w.dag));
-            match dup {
-                Some(&(_, cell)) => baseline_of.push(cell),
-                None => {
-                    let cell = cells.len();
-                    cells.push(PlannedCell {
-                        workload: w_idx,
-                        dag: w.dag.clone(),
-                        config: baseline_config,
-                        spec: SchedulerSpec::sequential_baseline(),
-                    });
-                    seen.push((w_idx, cell));
-                    baseline_of.push(cell);
-                }
-            }
-        }
-
-        let mut run_start = Vec::with_capacity(grid.workloads.len());
-        for (w_idx, w) in grid.workloads.iter().enumerate() {
-            run_start.push(cells.len());
+        let cell = |w: &WorkloadInstance, config: &CmpConfig, spec: &SchedulerSpec| Cell {
+            workload: w.clone(),
+            config: *config,
+            spec: spec.clone(),
+            options: grid.options.clone(),
+        };
+        let mut cells = Vec::with_capacity(grid.workloads.len() + grid.cell_count());
+        for w in &grid.workloads {
+            cells.push(cell(
+                w,
+                &baseline_config,
+                &SchedulerSpec::sequential_baseline(),
+            ));
             for config in &configs {
-                for spec in &grid.specs {
-                    cells.push(PlannedCell {
-                        workload: w_idx,
-                        dag: w.dag.clone(),
-                        config: *config,
-                        spec: spec.clone(),
-                    });
-                }
+                cells.extend(grid.specs.iter().map(|spec| cell(w, config, spec)));
             }
         }
-        Ok(Plan {
-            cells,
-            baseline_of,
-            run_start,
-            configs,
-        })
+        Ok(Plan { cells, configs })
     }
+}
+
+/// One simulation: a workload on a resolved machine configuration under one
+/// scheduler spec and one set of engine options.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The workload (its DAG is shared, not copied).
+    pub workload: WorkloadInstance,
+    /// The machine configuration, used as is.
+    pub config: CmpConfig,
+    /// The scheduler.
+    pub spec: SchedulerSpec,
+    /// Engine options, cache mode included.
+    pub options: SimOptions,
+}
+
+impl Cell {
+    /// Whether `self` and `other` are the same simulation: the same DAG (the
+    /// same `Arc`, not merely the same spec — hand-built DAGs share bare
+    /// names), config, scheduler spec and options.
+    fn same_simulation(&self, other: &Cell) -> bool {
+        Arc::ptr_eq(&self.workload.dag, &other.workload.dag)
+            && self.config == other.config
+            && self.spec == other.spec
+            && self.options == other.options
+    }
+
+    fn simulate(&self) -> SimResult {
+        simulate_shared(
+            self.workload.dag.clone(),
+            &self.config,
+            &self.spec,
+            &self.options,
+        )
+    }
+}
+
+/// The distinct simulations among `cells` and the order to run them in.
+///
+/// Only the first of several cells that are the same simulation runs — a
+/// grid's sequential baseline is its one-core `pdf` cell, and grids that list
+/// one shared DAG several times repeat whole blocks.  Returns `(order,
+/// source)`: `order` holds the cells to simulate, longest first (see
+/// [`lpt_order`]), and cell `i` takes the result simulated at position
+/// `source[i]` of `order`.
+fn schedule(cells: &[Cell]) -> (Vec<usize>, Vec<usize>) {
+    let mut distinct: Vec<usize> = Vec::new();
+    let mut of: Vec<usize> = Vec::with_capacity(cells.len());
+    for (i, cell) in cells.iter().enumerate() {
+        match distinct
+            .iter()
+            .position(|&d| cells[d].same_simulation(cell))
+        {
+            Some(k) => of.push(k),
+            None => {
+                of.push(distinct.len());
+                distinct.push(i);
+            }
+        }
+    }
+    let by_cost = lpt_order(
+        distinct
+            .iter()
+            .map(|&d| (&*cells[d].workload.dag, cells[d].config.cores)),
+    );
+    let mut position = vec![0; distinct.len()];
+    for (pos, &k) in by_cost.iter().enumerate() {
+        position[k] = pos;
+    }
+    let order = by_cost.iter().map(|&k| distinct[k]).collect();
+    let source = of.iter().map(|&k| position[k]).collect();
+    (order, source)
 }
 
 /// Longest-processing-time-first execution order over `(dag, cores)` cells.
@@ -330,83 +355,6 @@ fn lpt_order<'a>(cells: impl Iterator<Item = (&'a TaskDag, usize)>) -> Vec<usize
     let mut order: Vec<usize> = (0..costs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
     order
-}
-
-/// One simulation: a workload on a resolved machine configuration under one
-/// scheduler spec and one set of engine options.
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// The workload (its DAG is shared, not copied).
-    pub workload: WorkloadInstance,
-    /// The machine configuration, used as is.
-    pub config: CmpConfig,
-    /// The scheduler.
-    pub spec: SchedulerSpec,
-    /// Engine options, cache mode included.
-    pub options: SimOptions,
-}
-
-/// What determines a cell's [`SimResult`]: equal workload specs build equal
-/// DAGs, so the canonical spec string stands in for the DAG.
-#[derive(Debug, Clone, PartialEq)]
-struct CellKey {
-    workload: String,
-    config: CmpConfig,
-    spec: SchedulerSpec,
-    options: SimOptions,
-}
-
-impl CellKey {
-    fn of(cell: &Cell) -> Self {
-        CellKey {
-            workload: cell.workload.spec.canonical(),
-            config: cell.config,
-            spec: cell.spec.clone(),
-            options: cell.options.clone(),
-        }
-    }
-}
-
-/// Results of simulated cells, kept across sweeps so that a sequence of
-/// them — the replication suite's claims, say — simulates each distinct cell
-/// once, however many grids it appears in.
-///
-/// A cell is identified by its workload's canonical spec, its resolved
-/// configuration, its scheduler spec and its engine options (cache mode
-/// included).  Results are deterministic, so a cached result is
-/// bit-identical to a fresh one.
-#[derive(Debug, Default)]
-pub struct CellCache {
-    /// Few enough (tens of cells per suite) that a linear scan beats hashing
-    /// a configuration full of floats.
-    entries: Vec<(CellKey, SimResult)>,
-    hits: usize,
-}
-
-impl CellCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distinct cells simulated through this cache.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been simulated yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Cell requests served without simulating.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    fn get(&self, key: &CellKey) -> Option<&SimResult> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, r)| r)
-    }
 }
 
 /// Executes [`SweepGrid`]s (and any other list of independent cells) on a
@@ -454,73 +402,43 @@ impl SweepRunner {
     ///
     /// All configuration errors are raised before any simulation starts.
     pub fn run(&self, grid: &SweepGrid) -> Result<SweepReport, ExperimentError> {
-        self.run_cached(grid, &mut CellCache::new())
+        self.run_with(grid, |cells| self.simulate(cells))
     }
 
-    /// [`SweepRunner::run`] through a [`CellCache`]: cells already in `cache`
-    /// are not simulated again, the rest are simulated and added.  The report
-    /// is bit-identical to [`SweepRunner::run`].
-    pub fn run_cached(
-        &self,
-        grid: &SweepGrid,
-        cache: &mut CellCache,
-    ) -> Result<SweepReport, ExperimentError> {
+    /// [`SweepRunner::run`] with the caller standing in for
+    /// [`SweepRunner::simulate`]: `simulate` receives the grid's cells — per
+    /// workload its sequential baseline, then cores (outer) × specs (inner) —
+    /// and returns their results in the same order.  A caller that keeps
+    /// results across grids looks its cells up there and simulates the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `simulate` returns a different number of results than it
+    /// was given cells.
+    pub fn run_with<F>(&self, grid: &SweepGrid, simulate: F) -> Result<SweepReport, ExperimentError>
+    where
+        F: FnOnce(&[Cell]) -> Vec<SimResult>,
+    {
         let plan = Plan::build(grid)?;
-        let cells: Vec<Cell> = plan
-            .cells
-            .iter()
-            .map(|c| Cell {
-                workload: grid.workloads[c.workload].clone(),
-                config: c.config,
-                spec: c.spec.clone(),
-                options: grid.options.clone(),
-            })
-            .collect();
-        let results = self.run_cells_cached(&cells, cache);
+        let results = simulate(&plan.cells);
+        assert_eq!(results.len(), plan.cells.len(), "one result per cell");
         Ok(assemble_reports(grid, &plan, &results))
     }
 
-    /// Simulate `cells` through `cache` and return their results in `cells`
-    /// order.  Each distinct cell missing from the cache is simulated once
-    /// (on this runner's workers, longest first) and added to it.
-    pub fn run_cells_cached(&self, cells: &[Cell], cache: &mut CellCache) -> Vec<SimResult> {
-        let keys: Vec<CellKey> = cells.iter().map(CellKey::of).collect();
-        // `source[i]`: the first cell with `keys[i]`, which is the one that
-        // is looked up or simulated.
-        let source: Vec<usize> = (0..keys.len())
-            .map(|i| keys.iter().position(|k| *k == keys[i]).expect("own key"))
-            .collect();
-        let missing: Vec<usize> = (0..cells.len())
-            .filter(|&i| source[i] == i && cache.get(&keys[i]).is_none())
-            .collect();
-        cache.hits += cells.len() - missing.len();
-        let order = lpt_order(
-            missing
-                .iter()
-                .map(|&i| (&*cells[i].workload.dag, cells[i].config.cores)),
-        );
-        let fresh = self.run_cells(order.len(), |pos| {
-            let cell = &cells[missing[order[pos]]];
-            simulate_shared(
-                cell.workload.dag.clone(),
-                &cell.config,
-                &cell.spec,
-                &cell.options,
-            )
-        });
-        for (pos, result) in fresh.into_iter().enumerate() {
-            let i = missing[order[pos]];
-            cache.entries.push((keys[i].clone(), result));
-        }
-        source
-            .iter()
-            .map(|&i| cache.get(&keys[i]).expect("simulated or cached").clone())
-            .collect()
+    /// Simulate `cells` on this runner's workers, longest first, and return
+    /// their results in `cells` order.  Cells that are the same simulation
+    /// (same DAG `Arc`, config, scheduler spec and options) are simulated
+    /// once and share the result.
+    pub fn simulate(&self, cells: &[Cell]) -> Vec<SimResult> {
+        let (order, source) = schedule(cells);
+        let results = self.run_cells(order.len(), |pos| cells[order[pos]].simulate());
+        source.iter().map(|&pos| results[pos].clone()).collect()
     }
 
     /// [`SweepRunner::run`] plus a wall-clock [`SweepProfile`] of the
     /// execution: per-cell wall time, which worker ran each cell, and overall
-    /// worker utilization.
+    /// worker utilization.  The profile covers the distinct simulations, in
+    /// execution order.
     ///
     /// The report half is **bit-identical** to [`SweepRunner::run`] — wall
     /// clocks are observed, never fed back into any simulated quantity — so
@@ -531,18 +449,15 @@ impl SweepRunner {
         &self,
         grid: &SweepGrid,
     ) -> Result<(SweepReport, SweepProfile), ExperimentError> {
-        let plan = Plan::build(grid)?;
-        let order = plan.lpt_order();
-        let options = &grid.options;
-        let (permuted, mut profile) = self.run_cells_profiled(order.len(), |pos| {
-            let cell = &plan.cells[order[pos]];
-            simulate_shared(cell.dag.clone(), &cell.config, &cell.spec, options)
-        });
-        let results = unpermute(&order, permuted);
-        // The profile is indexed like the results: per cell, not per
-        // execution position.
-        profile.cells = unpermute(&order, profile.cells);
-        Ok((assemble_reports(grid, &plan, &results), profile))
+        let mut profile = None;
+        let report = self.run_with(grid, |cells| {
+            let (order, source) = schedule(cells);
+            let (results, timed) =
+                self.run_cells_profiled(order.len(), |pos| cells[order[pos]].simulate());
+            profile = Some(timed);
+            source.iter().map(|&pos| results[pos].clone()).collect()
+        })?;
+        Ok((report, profile.expect("run_with simulated the grid")))
     }
 
     /// The generic parallel substrate under [`SweepRunner::run`]: evaluate
@@ -673,44 +588,33 @@ impl SweepRunner {
     }
 }
 
-/// Invert an execution permutation: `permuted[pos]` was produced for cell
-/// `order[pos]`; the return value is indexed by cell.
-fn unpermute<T>(order: &[usize], permuted: Vec<T>) -> Vec<T> {
-    let mut slots: Vec<Option<T>> = (0..permuted.len()).map(|_| None).collect();
-    for (pos, value) in permuted.into_iter().enumerate() {
-        slots[order[pos]] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("order is a permutation of the cell indices"))
-        .collect()
-}
-
-/// Turn cell results back into per-workload reports (the shared tail of
-/// [`SweepRunner::run`] and [`SweepRunner::run_profiled`]).
+/// Turn the plan's cell results back into per-workload reports.
 fn assemble_reports(grid: &SweepGrid, plan: &Plan, results: &[SimResult]) -> SweepReport {
+    let per_workload = 1 + plan.configs.len() * grid.specs.len();
     let reports = grid
         .workloads
         .iter()
-        .zip(plan.baseline_of.iter().zip(&plan.run_start))
-        .map(|(w, (&baseline_cell, &first))| {
-            let mut runs = Vec::with_capacity(plan.configs.len() * grid.specs.len());
-            let mut cell = first;
-            for (config, &cores) in plan.configs.iter().zip(&grid.cores) {
-                for spec in &grid.specs {
-                    runs.push(RunRecord {
-                        cores,
-                        scheduler: spec.clone(),
-                        config: *config,
-                        metrics: results[cell].clone(),
-                    });
-                    cell += 1;
-                }
-            }
+        .zip(results.chunks(per_workload))
+        .map(|(w, results)| {
+            let runs = plan
+                .configs
+                .iter()
+                .zip(&grid.cores)
+                .flat_map(|(config, &cores)| {
+                    grid.specs.iter().map(move |spec| (cores, spec, config))
+                })
+                .zip(&results[1..])
+                .map(|((cores, spec, config), metrics)| RunRecord {
+                    cores,
+                    scheduler: spec.clone(),
+                    config: *config,
+                    metrics: metrics.clone(),
+                })
+                .collect();
             ExperimentReport::from_parts(
                 w.spec.canonical(),
-                results[baseline_cell].clone(),
-                plan.cells[baseline_cell].config,
+                results[0].clone(),
+                plan.cells[0].config,
                 runs,
             )
         })
@@ -728,7 +632,8 @@ fn assemble_reports(grid: &SweepGrid, plan: &Plan, results: &[SimResult]) -> Swe
 pub struct SweepProfile {
     /// Worker threads actually used (≤ the runner's configured threads).
     threads: usize,
-    /// Per cell, in cell-index order: wall time and the worker that ran it.
+    /// Per executed cell, in index order: wall time and the worker that ran
+    /// it.
     cells: Vec<(Duration, usize)>,
     /// Wall time of the whole `run_cells` call.
     wall: Duration,
@@ -893,23 +798,26 @@ mod tests {
         let shared = MergeSort::small().into_spec();
         let grid = SweepGrid::new()
             .workload(shared.clone())
-            .workload(shared.clone()) // same Arc: baseline must not rerun
+            .workload(shared.clone()) // same Arc: nothing reruns
             .cores(&[2])
             .specs(&[SchedulerSpec::pdf()]);
         let plan = Plan::build(&grid).unwrap();
-        // 1 shared baseline + 2 × (1 core × 1 spec) runs.
-        assert_eq!(plan.cells.len(), 3);
-        assert_eq!(plan.baseline_of, vec![0, 0]);
+        // Per workload: baseline, 2-core pdf.  The second block repeats the
+        // first.
+        assert_eq!(plan.cells.len(), 4);
+        let (order, source) = schedule(&plan.cells);
+        assert_eq!(order.len(), 2);
+        assert_eq!(source[0], source[2]);
+        assert_eq!(source[1], source[3]);
 
-        // A distinct DAG build of the same workload gets its own baseline.
+        // A distinct DAG build of the same workload gets its own cells.
         let grid = SweepGrid::new()
             .workload(MergeSort::small().into_spec())
             .workload(MergeSort::small().into_spec())
             .cores(&[2])
             .specs(&[SchedulerSpec::pdf()]);
         let plan = Plan::build(&grid).unwrap();
-        assert_eq!(plan.cells.len(), 4);
-        assert_eq!(plan.baseline_of, vec![0, 1]);
+        assert_eq!(schedule(&plan.cells).0.len(), 4);
     }
 
     #[test]
@@ -936,19 +844,22 @@ mod tests {
     fn lpt_order_is_a_permutation_with_serial_baselines_first() {
         let grid = small_grid();
         let plan = Plan::build(&grid).unwrap();
-        let order = plan.lpt_order();
+        // Cells 0-4 are mergesort's (baseline, then 1 and 2 cores × pdf, ws),
+        // 5-9 scan's.  Each baseline is its workload's one-core pdf cell.
+        let (order, source) = schedule(&plan.cells);
         let mut sorted = order.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, (0..plan.cells.len()).collect::<Vec<_>>());
+        assert_eq!(sorted, [0, 2, 3, 4, 5, 7, 8, 9]);
+        for (i, &pos) in source.iter().enumerate() {
+            assert!(plan.cells[order[pos]].same_simulation(&plan.cells[i]));
+        }
+        assert_eq!((source[1], source[6]), (source[0], source[5]));
         // The costliest cell of each workload is its one-core baseline;
         // mergesort's (the bigger DAG's) baseline goes first overall.
-        assert_eq!(order[0], plan.baseline_of[0]);
+        assert_eq!(order[0], 0);
+        let at = |cell: usize| order.iter().position(|&c| c == cell).unwrap();
         assert!(
-            order
-                .iter()
-                .position(|&c| c == plan.baseline_of[1])
-                .unwrap()
-                < plan.run_start[1],
+            at(5) < at(8) && at(5) < at(9),
             "scan's baseline beats scan's parallel cells into the pool"
         );
     }
@@ -1026,8 +937,9 @@ mod tests {
                 report, plain,
                 "{threads} threads: profiling changed results"
             );
-            // 1 shared... actually 2 distinct DAGs: 2 baselines + 2×(2 cores × 2 specs).
-            assert_eq!(profile.cell_count(), 10);
+            // 2 DAGs × (2 cores × 2 specs); each baseline is its DAG's
+            // one-core pdf cell.
+            assert_eq!(profile.cell_count(), 8);
             assert!(profile.threads() >= 1 && profile.threads() <= threads);
             assert!(profile.wall() > Duration::ZERO);
             let busy: Duration = profile.worker_busy().iter().sum();

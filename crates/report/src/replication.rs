@@ -21,7 +21,7 @@ use crate::artifact::ArtifactSet;
 use crate::figure::{json_string, slug, Figure};
 use pdfws_cmp_model::default_config;
 use pdfws_core::prelude::*;
-use pdfws_core::sweep::{Cell, CellCache, SweepGrid, SweepRunner};
+use pdfws_core::sweep::{Cell, SweepGrid, SweepRunner};
 use pdfws_schedulers::{simulate_traced, SimOptions};
 use pdfws_trace::timeline_table;
 use std::cell::RefCell;
@@ -211,28 +211,52 @@ pub struct Evaluation {
 }
 
 /// The evaluation context handed to each claim: the suite configuration plus
-/// a per-run cache of simulated cells, so claims that read different metrics
+/// a per-run store of simulated cells, so claims that read different metrics
 /// off the same cells (Figure 1's two panels, say) or whose grids overlap (the
 /// granularity and power-down claims reuse Figure 1's cells) simulate each
 /// distinct cell once.
 pub struct EvalCtx {
     /// The run's configuration.
     pub cfg: SuiteConfig,
-    cells: RefCell<CellCache>,
+    /// Every cell simulated so far.  Few enough (tens per suite) that a
+    /// linear scan beats hashing a configuration full of floats.
+    simulated: RefCell<Vec<(CellKey, SimResult)>>,
+}
+
+/// What determines a cell's result within one suite run.  The workload is
+/// named by its canonical spec string, which identifies its DAG here because
+/// the context builds every instance it simulates from such a string.
+#[derive(PartialEq)]
+struct CellKey {
+    workload: String,
+    config: CmpConfig,
+    spec: SchedulerSpec,
+    options: SimOptions,
+}
+
+impl CellKey {
+    fn of(cell: &Cell) -> Self {
+        CellKey {
+            workload: cell.workload.spec.canonical(),
+            config: cell.config,
+            spec: cell.spec.clone(),
+            options: cell.options.clone(),
+        }
+    }
 }
 
 impl EvalCtx {
     fn new(cfg: SuiteConfig) -> Self {
         EvalCtx {
             cfg,
-            cells: RefCell::new(CellCache::new()),
+            simulated: RefCell::new(Vec::new()),
         }
     }
 
     /// Run the (workloads × cores × schedulers) grid given by exact spec
     /// strings on the default configuration per core count, returning one
     /// report per workload.  Cells execute on `cfg.threads` workers; cells
-    /// this run already simulated are taken from its cache.
+    /// this run already simulated are not simulated again.
     pub fn sweep(
         &self,
         workloads: &[&str],
@@ -253,7 +277,7 @@ impl EvalCtx {
             grid = grid.workload_str(w)?;
         }
         Ok(SweepRunner::new(self.cfg.threads)
-            .run_cached(&grid, &mut self.cells.borrow_mut())?
+            .run_with(&grid, |cells| self.simulate(cells))?
             .into_reports())
     }
 
@@ -261,7 +285,7 @@ impl EvalCtx {
     /// included) under each scheduler, with no sequential baseline: one
     /// result per (config, scheduler), configs outer.  The run's memory
     /// system and cache mode apply as in [`EvalCtx::sweep`], and cells this
-    /// run already simulated are taken from its cache.
+    /// run already simulated are not simulated again.
     pub fn cells(
         &self,
         workload: &str,
@@ -289,8 +313,36 @@ impl EvalCtx {
                 });
             }
         }
-        Ok(SweepRunner::new(self.cfg.threads)
-            .run_cells_cached(&cells, &mut self.cells.borrow_mut()))
+        Ok(self.simulate(&cells))
+    }
+
+    /// Results for `cells`, in order: each cell not simulated before in this
+    /// run is simulated once and recorded.
+    fn simulate(&self, cells: &[Cell]) -> Vec<SimResult> {
+        let mut simulated = self.simulated.borrow_mut();
+        let keys: Vec<CellKey> = cells.iter().map(CellKey::of).collect();
+        let mut missing: Vec<usize> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let seen =
+                simulated.iter().any(|(k, _)| k == key) || missing.iter().any(|&m| keys[m] == *key);
+            if !seen {
+                missing.push(i);
+            }
+        }
+        let fresh: Vec<Cell> = missing.iter().map(|&i| cells[i].clone()).collect();
+        let results = SweepRunner::new(self.cfg.threads).simulate(&fresh);
+        for (&i, result) in missing.iter().zip(results) {
+            simulated.push((CellKey::of(&cells[i]), result));
+        }
+        keys.iter()
+            .map(|key| {
+                let (_, result) = simulated
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .expect("simulated now or earlier");
+                result.clone()
+            })
+            .collect()
     }
 }
 
@@ -878,16 +930,21 @@ mod tests {
         for claim in &suite.claims {
             (claim.eval)(&ctx).unwrap();
         }
-        let cells = ctx.cells.borrow();
+        let simulated = ctx.simulated.borrow();
         // Distinct cells: C1's Figure 1 grid (6 core counts × 2 schedulers;
         // its sequential baseline is the one-core `pdf` cell), C3's SpMV
         // (baseline + 2), C4's two class-B workloads (2 × 3), C5's coarse
-        // variant (baseline + 1) and C6's 25 %-powered row (2).
-        assert_eq!(cells.len(), 12 + 3 + 6 + 2 + 2);
-        // Served without simulating: C1's baseline, all 13 cells of C2 (C1's
-        // grid), C5's fine-grained baseline and 32-core cell, and C6's
-        // fully-powered row (C1's 8-core cells).
-        assert_eq!(cells.hits(), 1 + 13 + 2 + 2);
+        // variant (baseline + 1) and C6's 25 %-powered row (2).  C2 reads
+        // C1's grid, C5's fine-grained baseline and 32-core cell are C1's,
+        // and C6's fully-powered row is C1's 8-core cells.
+        assert_eq!(simulated.len(), 12 + 3 + 6 + 2 + 2);
+        for (i, (key, _)) in simulated.iter().enumerate() {
+            assert!(
+                simulated[..i].iter().all(|(k, _)| k != key),
+                "{} simulated twice",
+                key.workload
+            );
+        }
     }
 
     #[test]

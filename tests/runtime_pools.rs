@@ -61,6 +61,14 @@ fn pools_survive_repeated_installs_and_deep_trees() {
         assert_eq!(spawn_tree(&ws, 8), (1 << 9) - 1);
         assert_eq!(spawn_tree(&pdf, 8), (1 << 9) - 1);
     }
+    // Depth 13 (8191 empty-leaf joins per tree) keeps the latch hand-off as
+    // tight as it gets: the owner pops the frame holding a join's latch as
+    // soon as it sees the thief set it, so a setter that still touched the
+    // latch afterwards would corrupt a live stack frame.
+    for _ in 0..3 {
+        assert_eq!(spawn_tree(&ws, 13), (1 << 14) - 1);
+        assert_eq!(spawn_tree(&pdf, 13), (1 << 14) - 1);
+    }
     assert!(ws.executed_jobs() > 0);
     assert!(pdf.executed_jobs() > 0);
 }
@@ -86,20 +94,4 @@ fn single_threaded_pools_match_multi_threaded_results() {
         parallel_map_reduce(&one, &data, 128, &f),
         parallel_map_reduce(&four, &data, 128, &f)
     );
-}
-
-// A join's second half runs on a thief while the owner spins on its latch;
-// the owner pops the frame holding that latch as soon as it sees it set.
-// Thousands of empty-leaf joins on two workers make that hand-off as tight
-// as it gets, so a setter that still touched the latch after publishing it
-// would corrupt a live stack frame here.
-#[test]
-fn latch_handoff_survives_many_tight_nested_joins() {
-    let ws = WsPool::new(2).unwrap();
-    let pdf = PdfPool::new(2).unwrap();
-    // Depth 13: 8191 joins per tree.
-    for _ in 0..3 {
-        assert_eq!(spawn_tree(&ws, 13), (1 << 14) - 1);
-        assert_eq!(spawn_tree(&pdf, 13), (1 << 14) - 1);
-    }
 }

@@ -95,6 +95,47 @@ proptest! {
     }
 }
 
+/// Hand-built DAGs carry bare names, so two different ones can share a spec
+/// string; the runner must tell their cells apart by DAG, never by name.
+#[test]
+fn same_named_hand_built_dags_get_their_own_results() {
+    let dag = |leaves: u64| {
+        SpTree::Par(
+            (0..leaves)
+                .map(|i| {
+                    SpTree::leaf_with_accesses(
+                        "leaf",
+                        1_000,
+                        vec![AccessPattern::range_read(i * 4096, 4096)],
+                    )
+                })
+                .collect(),
+        )
+        .into_dag()
+        .unwrap()
+    };
+    let custom = |leaves| {
+        WorkloadInstance::from_parts("custom", WorkloadClass::LowReuse, dag(leaves), 1 << 16)
+    };
+    let (small, big) = (custom(2), custom(16));
+    assert_eq!(small.spec, big.spec);
+    let grid = |instances: &[WorkloadInstance]| {
+        SweepGrid::new()
+            .workloads(instances)
+            .cores(&[1, 2])
+            .specs(&SchedulerSpec::paper_pair())
+    };
+    let both = SweepRunner::new(2)
+        .run(&grid(&[small.clone(), big.clone()]))
+        .unwrap();
+    assert_ne!(both.reports()[0].baseline, both.reports()[1].baseline);
+    // Each report is what its DAG gives when swept alone.
+    for (instance, report) in [small, big].into_iter().zip(both.reports()) {
+        let alone = SweepRunner::sequential().run(&grid(&[instance])).unwrap();
+        assert_eq!(&alone.reports()[0], report);
+    }
+}
+
 /// A workload wrapper that counts how many times `build_dag` runs.
 struct CountingWorkload<W: Workload> {
     inner: W,
